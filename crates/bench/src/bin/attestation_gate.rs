@@ -26,7 +26,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use libseal::plane::build_plane;
 use libseal::{DropboxModule, GitModule, IdentityIssuer, LibSeal, LibSealConfig};
 use libseal_bench::{bench_secs, ms, print_table, BenchIdentity};
 use libseal_crypto::ed25519::SigningKey;
@@ -79,12 +78,16 @@ fn push_request(client: usize, i: u64) -> Request {
 /// load run, origin audit log verifies after drain. Returns the Git
 /// enclave's measurement for the rejection check.
 fn attested_fleet(issuer: &Arc<IdentityIssuer>) -> Result<[u8; 32], String> {
-    let origin_plane = build_plane(attested_config(issuer, "git-backend").ssm(Arc::new(GitModule)).build())
-        .map_err(|e| format!("origin plane: {e}"))?;
-    let git_measurement = origin_plane.measurements()[0];
+    let origin_ls = LibSeal::new(
+        attested_config(issuer, "git-backend")
+            .ssm(Arc::new(GitModule))
+            .build(),
+    )
+    .map_err(|e| format!("origin enclave: {e}"))?;
+    let git_measurement = origin_ls.measurement();
     let origin = ApacheServer::start(
         ApacheConfig::new(
-            TlsMode::LibSeal(Arc::clone(&origin_plane)),
+            TlsMode::LibSeal(Arc::clone(&origin_ls)),
             Arc::new(Arc::new(GitBackend::new())),
         )
         .workers(CLIENTS)
@@ -96,24 +99,24 @@ fn attested_fleet(issuer: &Arc<IdentityIssuer>) -> Result<[u8; 32], String> {
     // audits Squid's caching behaviour elsewhere; here its enclave
     // only terminates STLS). Its upstream leg pins the origin's
     // measurement; the client pins the proxy's.
-    let proxy_plane = build_plane(attested_config(issuer, "localhost").build())
-        .map_err(|e| format!("proxy plane: {e}"))?;
-    let proxy_measurements = proxy_plane.measurements();
+    let proxy_ls = LibSeal::new(attested_config(issuer, "localhost").build())
+        .map_err(|e| format!("proxy enclave: {e}"))?;
+    let proxy_measurement = proxy_ls.measurement();
     let proxy = SquidProxy::start(
         SquidConfig::new(
-            TlsMode::LibSeal(proxy_plane),
+            TlsMode::LibSeal(proxy_ls),
             origin.addr(),
             vec![issuer.ca_root()],
             "git-backend",
         )
-        .attestation(Arc::new(issuer.policy_for(origin_plane.measurements())))
+        .attestation(Arc::new(issuer.policy_for(vec![git_measurement])))
         .workers(CLIENTS)
         .event_loop(false),
     )
     .map_err(|e| format!("proxy: {e}"))?;
 
     let client = HttpsClient::new(proxy.addr(), vec![issuer.ca_root()], "localhost")
-        .attestation(Arc::new(issuer.policy_for(proxy_measurements)));
+        .attestation(Arc::new(issuer.policy_for(vec![proxy_measurement])));
     // Non-persistent: every request re-runs the attested handshake on
     // both legs, which is the path under test.
     let stats = LoadGenerator {
@@ -135,7 +138,7 @@ fn attested_fleet(issuer: &Arc<IdentityIssuer>) -> Result<[u8; 32], String> {
             stats.errors, stats.requests
         ));
     }
-    origin_plane
+    origin_ls
         .verify_log(0)
         .map_err(|e| format!("origin verification after drain: {e}"))?;
     println!(
@@ -152,19 +155,19 @@ fn wrong_measurement_rejected(
     issuer: &Arc<IdentityIssuer>,
     expected: [u8; 32],
 ) -> Result<(), String> {
-    let rogue_plane = build_plane(
+    let rogue_ls = LibSeal::new(
         attested_config(issuer, "localhost")
             .ssm(Arc::new(DropboxModule))
             .build(),
     )
-    .map_err(|e| format!("rogue plane: {e}"))?;
+    .map_err(|e| format!("rogue enclave: {e}"))?;
     assert_ne!(
-        rogue_plane.measurements()[0],
+        rogue_ls.measurement(),
         expected,
         "SSM fork must change the measurement"
     );
     let server = ApacheServer::start(
-        ApacheConfig::new(TlsMode::LibSeal(rogue_plane), Arc::new(StaticContentRouter))
+        ApacheConfig::new(TlsMode::LibSeal(rogue_ls), Arc::new(StaticContentRouter))
             .workers(CLIENTS)
             .event_loop(false),
     )

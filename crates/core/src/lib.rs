@@ -21,12 +21,9 @@
 //! - [`provision`] — attestation-gated certificate provisioning, the
 //!   §6.3 defence against the provider bypassing the audit layer;
 //! - [`merge`] — multi-instance partial-log merging for scale-out
-//!   deployments (the §3.2 extension);
-//! - [`plane`] — the [`plane::AuditPlane`] service-facing trait and
-//!   the sharded multi-enclave orchestrator behind it, which routes
-//!   sessions to per-shard enclaves and cross-links the shard chains
-//!   with signed epoch checkpoints (a deliberate divergence from the
-//!   paper's single-enclave model; see DESIGN.md).
+//!   deployments (the §3.2 extension): each instance is one
+//!   [`termination::LibSeal`] enclave with its own log, and the
+//!   instances' logs are merged for checking.
 //!
 //! # Examples
 //!
@@ -37,7 +34,6 @@ pub mod check;
 pub mod commit;
 pub mod log;
 pub mod merge;
-pub mod plane;
 pub mod provision;
 pub mod ssm;
 pub mod termination;
@@ -46,7 +42,6 @@ pub mod verifier;
 pub use check::{CheckOutcome, CheckReport, Checker};
 pub use commit::{CommitQueue, GroupCommitConfig, Sealer};
 pub use log::{AuditLog, CommitMode, LogBacking, TableSpec};
-pub use plane::{AuditPlane, CheckpointRow, FleetVerifyError, ShardedPlane};
 pub use provision::{CertProvisioner, IdentityIssuer};
 pub use ssm::{
     DropboxModule, GitModule, Invariant, MessagingModule, OwnCloudModule, ServiceModule,
@@ -76,8 +71,6 @@ pub enum LibSealError {
     NoSuchSession(u64),
     /// The operation needs auditing, which is not configured.
     AuditingDisabled,
-    /// The requested configuration is contradictory.
-    Config(String),
 }
 
 impl std::fmt::Display for LibSealError {
@@ -90,7 +83,6 @@ impl std::fmt::Display for LibSealError {
             LibSealError::Attestation(m) => write!(f, "attestation error: {m}"),
             LibSealError::NoSuchSession(sid) => write!(f, "no such session: {sid}"),
             LibSealError::AuditingDisabled => write!(f, "auditing is not configured"),
-            LibSealError::Config(m) => write!(f, "invalid configuration: {m}"),
         }
     }
 }

@@ -64,7 +64,6 @@ fn log_metrics() -> &'static LogMetrics {
 }
 
 /// Where the audit log lives.
-#[derive(Clone)]
 pub enum LogBacking {
     /// In-memory only (the paper's `LibSEAL-mem` configuration).
     Memory,
@@ -1035,14 +1034,6 @@ impl AuditLog {
     /// Number of chain entries.
     pub fn entries(&self) -> u64 {
         self.seq
-    }
-
-    /// Current chain tip as `(seq, clock, head)`. The logical clock is
-    /// the stable coordinate across trims (trimming renumbers `seq`
-    /// but never rewinds `clock`), so fleet-level epoch checkpoints
-    /// key their monotonicity argument on it.
-    pub fn chain_tip(&self) -> (u64, u64, [u8; 32]) {
-        (self.seq, self.clock, self.head)
     }
 
     /// The signer's public key (clients verify exported proofs).

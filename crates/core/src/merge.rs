@@ -175,12 +175,20 @@ pub fn check_merged(ssm: &dyn ServiceModule, db: &Database) -> Result<Vec<(Strin
 mod tests {
     use super::*;
     use crate::log::{LogBacking, NoGuard};
-    use crate::ssm::GitModule;
+    use crate::ssm::{DropboxModule, GitModule, OwnCloudModule};
     use libseal_httpx::http::{Request, Response};
 
-    fn instance_log() -> AuditLog {
-        let ssm = GitModule;
-        AuditLog::open(
+    /// A raw (request, response) pair as LibSEAL observes it.
+    type Pair = (Vec<u8>, Vec<u8>);
+
+    fn pair(method: &str, path: &str, req_body: &str, rsp_body: &str) -> Pair {
+        let req = Request::new(method, path, req_body.as_bytes().to_vec());
+        let rsp = Response::new(200, rsp_body.as_bytes().to_vec());
+        (req.to_bytes(), rsp.to_bytes())
+    }
+
+    fn instance_log(ssm: &dyn ServiceModule, pairs: &[Pair]) -> AuditLog {
+        let mut log = AuditLog::open(
             LogBacking::Memory,
             [0u8; 32],
             SigningKey::from_seed(&[1u8; 32]),
@@ -188,81 +196,183 @@ mod tests {
             ssm.schema_sql(),
             ssm.tables(),
         )
-        .unwrap()
+        .unwrap();
+        for (req, rsp) in pairs {
+            ssm.log_pair(req, rsp, &mut log).unwrap();
+        }
+        log
     }
 
     fn push(log: &mut AuditLog, body: &str) {
-        let ssm = GitModule;
-        let req = Request::new("POST", "/repo/p/git-receive-pack", body.as_bytes().to_vec());
-        let rsp = Response::new(200, b"ok\n".to_vec());
-        ssm.log_pair(&req.to_bytes(), &rsp.to_bytes(), log).unwrap();
+        let (req, rsp) = pair("POST", "/repo/p/git-receive-pack", body, "ok\n");
+        GitModule.log_pair(&req, &rsp, log).unwrap();
     }
 
-    fn fetch(log: &mut AuditLog, advert: &str) {
-        let ssm = GitModule;
-        let req = Request::new(
-            "GET",
-            "/repo/p/info/refs?service=git-upload-pack",
-            Vec::new(),
-        );
-        let rsp = Response::new(200, advert.as_bytes().to_vec());
-        ssm.log_pair(&req.to_bytes(), &rsp.to_bytes(), log).unwrap();
+    /// Violations per invariant over the merge of `logs`, instance `i`
+    /// exporting `logs[i]`.
+    fn check_instances(ssm: &dyn ServiceModule, logs: &[&AuditLog]) -> Vec<(String, usize)> {
+        let mut exports = Vec::new();
+        let mut keys = Vec::new();
+        for (i, log) in logs.iter().enumerate() {
+            let key = SigningKey::from_seed(&[2 + i as u8; 32]);
+            exports.push(export_log(log, ssm, i as u32, &key).unwrap());
+            keys.push(key.verifying_key());
+        }
+        let merged = merge_for_checking(ssm, &exports, &keys).unwrap();
+        check_merged(ssm, &merged).unwrap()
+    }
+
+    /// One §3.2 split history per SSM. Instance A serves an update;
+    /// instance B, whose clock has advanced past A's (see the module
+    /// docs on clock synchronization), then serves a read of the
+    /// same object. The stale read violates `invariant` only against
+    /// A's update; the fresh read reflects it.
+    struct SplitHistory {
+        ssm: &'static dyn ServiceModule,
+        invariant: &'static str,
+        a: Vec<Pair>,
+        b: Vec<Pair>,
+        stale_read: Pair,
+        fresh_read: Pair,
+    }
+
+    fn split_histories() -> Vec<SplitHistory> {
+        let git = |path: &str, body: &str| pair("POST", path, body, "ok\n");
+        let git_fetch = |advert: &str| {
+            pair(
+                "GET",
+                "/repo/p/info/refs?service=git-upload-pack",
+                "",
+                advert,
+            )
+        };
+        let oc = |path: &str, req: &str, rsp: &str| pair("POST", path, req, rsp);
+        let oc_join = |snapshot: &str| {
+            oc(
+                "/owncloud/join",
+                r#"{"doc":"d","client":"bob"}"#,
+                &format!(r#"{{"snapshot":"{snapshot}","seq":0}}"#),
+            )
+        };
+        let commit = |account: &str, file: &str, blocks: &str| {
+            pair(
+                "POST",
+                "/dropbox/commit_batch",
+                &format!(
+                    r#"{{"account":"{account}","host":"h","commits":[{{"file":"{file}","blocks":["{blocks}"],"size":1}}]}}"#
+                ),
+                "{}",
+            )
+        };
+        let list = |blocks: &str| {
+            pair(
+                "POST",
+                "/dropbox/list",
+                r#"{"account":"acc","host":"h"}"#,
+                &format!(r#"{{"files":[{{"file":"f","blocks":["{blocks}"],"size":1}}]}}"#),
+            )
+        };
+        vec![
+            // Git rollback: A pushes c1 then c2; B advertises c1.
+            SplitHistory {
+                ssm: &GitModule,
+                invariant: "git-soundness",
+                a: vec![
+                    git("/repo/p/git-receive-pack", "0 c1 refs/heads/main\n"),
+                    git("/repo/p/git-receive-pack", "c1 c2 refs/heads/main\n"),
+                ],
+                b: vec![
+                    git("/repo/q/git-receive-pack", "0 z1 refs/heads/other\n"),
+                    git("/repo/q/git-receive-pack", "z1 z2 refs/heads/other\n"),
+                ],
+                stale_read: git_fetch("c1 refs/heads/main\n"),
+                fresh_read: git_fetch("c2 refs/heads/main\n"),
+            },
+            // ownCloud stale snapshot: alice saves v1 on A; bob joins
+            // on B and is sent v0.
+            SplitHistory {
+                ssm: &OwnCloudModule,
+                invariant: "owncloud-snapshot-soundness",
+                a: vec![
+                    oc(
+                        "/owncloud/join",
+                        r#"{"doc":"d","client":"alice"}"#,
+                        r#"{"snapshot":"v0","seq":0}"#,
+                    ),
+                    oc(
+                        "/owncloud/leave",
+                        r#"{"doc":"d","client":"alice","snapshot":"v1","seq":0}"#,
+                        r#"{"ok":true}"#,
+                    ),
+                ],
+                b: vec![
+                    oc(
+                        "/owncloud/join",
+                        r#"{"doc":"e","client":"carol"}"#,
+                        r#"{"snapshot":"w0","seq":0}"#,
+                    ),
+                    oc(
+                        "/owncloud/leave",
+                        r#"{"doc":"e","client":"carol","snapshot":"w1","seq":0}"#,
+                        r#"{"ok":true}"#,
+                    ),
+                ],
+                stale_read: oc_join("v0"),
+                fresh_read: oc_join("v1"),
+            },
+            // Dropbox stale blocklist: B stores f as b1, A then
+            // stores b2, and B lists f with b1.
+            SplitHistory {
+                ssm: &DropboxModule,
+                invariant: "dropbox-blocklist-soundness",
+                a: vec![commit("other", "z", "q1"), commit("acc", "f", "b2")],
+                b: vec![commit("acc", "f", "b1"), commit("other", "y", "q2")],
+                stale_read: list("b1"),
+                fresh_read: list("b2"),
+            },
+        ]
     }
 
     #[test]
     fn cross_instance_violation_detected() {
-        let ssm = GitModule;
-        // Instance A serves the pushes; instance B later serves a STALE
-        // fetch. B's clock has advanced past A's pushes (see the module
-        // docs on clock synchronization).
-        let mut log_a = instance_log();
-        push(&mut log_a, "0 c1 refs/heads/main\n");
-        push(&mut log_a, "c1 c2 refs/heads/main\n");
-        let mut log_b = instance_log();
-        push(&mut log_b, "0 z1 refs/heads/other\n"); // advances B's clock
-        push(&mut log_b, "z1 z2 refs/heads/other\n");
-        fetch(&mut log_b, "c1 refs/heads/main\nz2 refs/heads/other\n");
-
-        // Neither partial log alone shows the rollback.
-        let key_a = SigningKey::from_seed(&[2u8; 32]);
-        let key_b = SigningKey::from_seed(&[3u8; 32]);
-        let ex_a = export_log(&log_a, &ssm, 0, &key_a).unwrap();
-        let ex_b = export_log(&log_b, &ssm, 1, &key_b).unwrap();
-        let merged = merge_for_checking(
-            &ssm,
-            &[ex_a, ex_b],
-            &[key_a.verifying_key(), key_b.verifying_key()],
-        )
-        .unwrap();
-        let results = check_merged(&ssm, &merged).unwrap();
-        let soundness = results.iter().find(|(n, _)| n == "git-soundness").unwrap();
-        assert_eq!(soundness.1, 1, "{results:?}");
+        for h in split_histories() {
+            let name = h.ssm.name();
+            let log_a = instance_log(h.ssm, &h.a);
+            let mut b = h.b;
+            b.push(h.stale_read);
+            let log_b = instance_log(h.ssm, &b);
+            // Neither partial log alone shows the violation.
+            for log in [&log_a, &log_b] {
+                let alone = check_instances(h.ssm, &[log]);
+                assert!(alone.iter().all(|(_, v)| *v == 0), "{name}: {alone:?}");
+            }
+            let results = check_instances(h.ssm, &[&log_a, &log_b]);
+            let hit = results.iter().find(|(n, _)| n == h.invariant).unwrap();
+            assert_eq!(hit.1, 1, "{name}: {results:?}");
+            assert!(
+                results.iter().all(|(n, v)| n == h.invariant || *v == 0),
+                "{name}: {results:?}"
+            );
+        }
     }
 
     #[test]
     fn honest_cross_instance_history_is_clean() {
-        let ssm = GitModule;
-        let mut log_a = instance_log();
-        push(&mut log_a, "0 c1 refs/heads/main\n");
-        let mut log_b = instance_log();
-        fetch(&mut log_b, "c1 refs/heads/main\n");
-        let key = SigningKey::from_seed(&[2u8; 32]);
-        let ex_a = export_log(&log_a, &ssm, 0, &key).unwrap();
-        let ex_b = export_log(&log_b, &ssm, 1, &key).unwrap();
-        let merged = merge_for_checking(
-            &ssm,
-            &[ex_a, ex_b],
-            &[key.verifying_key(), key.verifying_key()],
-        )
-        .unwrap();
-        let results = check_merged(&ssm, &merged).unwrap();
-        assert!(results.iter().all(|(_, v)| *v == 0), "{results:?}");
+        for h in split_histories() {
+            let name = h.ssm.name();
+            let log_a = instance_log(h.ssm, &h.a);
+            let mut b = h.b;
+            b.push(h.fresh_read);
+            let log_b = instance_log(h.ssm, &b);
+            let results = check_instances(h.ssm, &[&log_a, &log_b]);
+            assert!(results.iter().all(|(_, v)| *v == 0), "{name}: {results:?}");
+        }
     }
 
     #[test]
     fn forged_export_rejected() {
         let ssm = GitModule;
-        let mut log = instance_log();
+        let mut log = instance_log(&GitModule, &[]);
         push(&mut log, "0 c1 refs/heads/main\n");
         let key = SigningKey::from_seed(&[2u8; 32]);
         let rogue = SigningKey::from_seed(&[9u8; 32]);
@@ -274,7 +384,7 @@ mod tests {
     #[test]
     fn tampered_export_rows_rejected() {
         let ssm = GitModule;
-        let mut log = instance_log();
+        let mut log = instance_log(&GitModule, &[]);
         push(&mut log, "0 c1 refs/heads/main\n");
         let key = SigningKey::from_seed(&[2u8; 32]);
         let mut export = export_log(&log, &ssm, 0, &key).unwrap();
@@ -289,10 +399,10 @@ mod tests {
         let ssm = GitModule;
         // Instance A logs two pushes (times 1, 2); instance B one push
         // (time 1). Merged timeline must keep A's order.
-        let mut log_a = instance_log();
+        let mut log_a = instance_log(&GitModule, &[]);
         push(&mut log_a, "0 a1 refs/heads/x\n");
         push(&mut log_a, "a1 a2 refs/heads/x\n");
-        let mut log_b = instance_log();
+        let mut log_b = instance_log(&GitModule, &[]);
         push(&mut log_b, "0 b1 refs/heads/y\n");
         let key = SigningKey::from_seed(&[2u8; 32]);
         let ex_a = export_log(&log_a, &ssm, 0, &key).unwrap();

@@ -46,7 +46,7 @@ use crate::ssm::ServiceModule;
 use crate::verifier::{Verifier, VerifierConfig, VerifierQueue};
 use crate::{LibSealError, Result};
 
-/// Default for [`LibSealConfig::max_message_buffer`]: generous enough
+/// Default for [`LibSealConfigBuilder::max_message_buffer`]: generous enough
 /// for large Git pushes and file uploads, small enough to bound a
 /// malicious never-ending stream (interface hardening, §6.3).
 pub const MAX_MESSAGE_BUFFER: usize = 64 * 1024 * 1024;
@@ -62,7 +62,6 @@ fn could_be_http_response(buf: &[u8]) -> bool {
 }
 
 /// Rollback-protection choice.
-#[derive(Clone)]
 pub enum GuardConfig {
     /// No rollback protection (baselines).
     None,
@@ -83,10 +82,6 @@ pub enum GuardConfig {
 /// Constructed exclusively through [`LibSealConfig::builder`]; the
 /// fields are crate-private so every knob flows through the fluent
 /// builder and defaults stay in one place.
-///
-/// `Clone` exists so [`crate::plane::ShardedPlane`] can stamp out one
-/// derived configuration per shard from a single template.
-#[derive(Clone)]
 pub struct LibSealConfig {
     /// The service's TLS certificate.
     pub(crate) cert: Certificate,
@@ -126,14 +121,6 @@ pub struct LibSealConfig {
     /// Background verifier tuning; `None` runs due checks inline on
     /// the request path.
     pub(crate) verifier: Option<VerifierConfig>,
-    /// Audit-plane shard count; values above 1 make
-    /// [`LibSealConfigBuilder::build_plane`] provision a
-    /// [`crate::plane::ShardedPlane`] instead of a single enclave.
-    pub(crate) shards: usize,
-    /// Audited responses between fleet epoch checkpoints (sharded
-    /// planes only; 0 restricts checkpoints to drains and explicit
-    /// requests).
-    pub(crate) epoch_interval: u64,
     /// When set, the configured `cert`/`key` are placeholders: the
     /// enclave generates its TLS keypair inside at build time and the
     /// issuer mints an attested certificate bound to it (RA-TLS).
@@ -142,11 +129,6 @@ pub struct LibSealConfig {
 
 /// An attested-identity request: who signs the certificate + quote,
 /// and the subject name the minted certificate carries.
-///
-/// Cloning shares the issuer, so a sharded plane stamps one of these
-/// per shard and every shard mints its own in-enclave keypair under
-/// the same roots.
-#[derive(Clone)]
 pub struct AttestedIdentity {
     pub(crate) issuer: Arc<crate::provision::IdentityIssuer>,
     pub(crate) subject: String,
@@ -182,8 +164,6 @@ impl LibSealConfig {
                 max_message_buffer: MAX_MESSAGE_BUFFER,
                 group_commit: Some(GroupCommitConfig::default()),
                 verifier: Some(VerifierConfig::default()),
-                shards: 1,
-                epoch_interval: 1024,
                 attest: None,
             },
         }
@@ -332,26 +312,6 @@ impl LibSealConfigBuilder {
         self
     }
 
-    /// Audit-plane shard count. `1` (the default) keeps the paper's
-    /// single-enclave model; larger values shard the audit plane
-    /// across that many enclaves behind one
-    /// [`crate::plane::AuditPlane`], with sessions routed by
-    /// consistent hashing and per-shard chains cross-linked into
-    /// signed epoch checkpoints. Only
-    /// [`LibSealConfigBuilder::build_plane`] acts on this knob;
-    /// [`LibSeal::new`] always builds one enclave.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards.max(1);
-        self
-    }
-
-    /// Audited responses between fleet epoch checkpoints on a sharded
-    /// plane (0 limits checkpoints to drains and explicit requests).
-    pub fn epoch_interval(mut self, responses: u64) -> Self {
-        self.config.epoch_interval = responses;
-        self
-    }
-
     /// Replaces the configured TLS identity with one minted at build
     /// time: the enclave generates its keypair inside and `issuer`
     /// issues an attested certificate for `subject`
@@ -371,22 +331,6 @@ impl LibSealConfigBuilder {
     /// Finalises the configuration.
     pub fn build(self) -> LibSealConfig {
         self.config
-    }
-
-    /// Finalises the configuration and provisions the audit plane it
-    /// describes: a single [`LibSeal`] enclave for `shards(1)`, a
-    /// [`crate::plane::ShardedPlane`] fleet otherwise. Services hold
-    /// the returned [`crate::plane::AuditPlane`] and never learn
-    /// which it is.
-    ///
-    /// # Errors
-    ///
-    /// [`LibSealError::Config`] on contradictory knobs (`shards(n>1)`
-    /// with group commit disabled: a sharded plane exists to multiply
-    /// sealer pipelines, so building one around per-pair sealing is
-    /// certainly a mistake), or any enclave provisioning failure.
-    pub fn build_plane(self) -> Result<Arc<dyn crate::plane::AuditPlane>> {
-        crate::plane::build_plane(self.config)
     }
 }
 
@@ -1101,9 +1045,7 @@ impl LibSeal {
                 let stats = sv.stats_arc();
                 let model = sv.model().clone();
                 ssl.set_info_callback(Arc::new(move |code, arg| {
-                    let threads = 1;
-                    let cycles = model.transition_cycles(threads);
-                    model.charge_cycles(cycles);
+                    let cycles = model.charge_transition(1);
                     stats.record_ocall("info_callback", cycles);
                     outside_cb(code, arg);
                 }));

@@ -284,53 +284,39 @@ fn non_attesting_clients_interoperate_with_attested_servers() {
 }
 
 #[test]
-fn sharded_plane_shards_each_present_valid_quotes() {
+fn instances_from_one_issuer_share_measurement_not_keys() {
+    // Two LibSEAL instances of one service (the §3.2 multi-instance
+    // deployment) run the same code: one pinned measurement covers
+    // both, yet each minted its own in-enclave key and quote.
     let issuer = issuer();
-    let plane = LibSealConfig::attested(Arc::clone(&issuer), "svc.test")
-        .cost_model(CostModel::free())
-        .check_interval(0)
-        .ssm(Arc::new(GitModule))
-        .shards(3)
-        .build_plane()
-        .unwrap();
-
-    // All shards run the same code: one pinned measurement covers the
-    // fleet, yet every shard minted its own key and quote.
-    let measurements = plane.measurements();
-    assert_eq!(measurements.len(), 1);
-    let certs = plane.certificates();
-    assert_eq!(certs.len(), 3);
-    let policy = issuer.policy_for(measurements);
+    let instances = [
+        attested_libseal(&issuer, true),
+        attested_libseal(&issuer, true),
+    ];
+    let measurement = instances[0].measurement();
+    assert_eq!(instances[1].measurement(), measurement);
+    let policy = issuer.policy_for(vec![measurement]);
     let now = libseal_tlsx::attest::unix_now_ms();
-    let mut pubkeys: Vec<[u8; 32]> = Vec::new();
-    for cert in &certs {
+    for ls in &instances {
+        let cert = ls.certificate();
         policy.verify(cert, now).unwrap();
         assert_eq!(cert.subject, "svc.test");
-        pubkeys.push(cert.pubkey);
     }
-    pubkeys.sort_unstable();
-    pubkeys.dedup();
-    assert_eq!(pubkeys.len(), 3, "shards must not share a private key");
+    assert_ne!(
+        instances[0].certificate().pubkey,
+        instances[1].certificate().pubkey,
+        "instances must not share a private key"
+    );
 
-    // A pinned client completes a handshake routed through the plane.
-    let sid = plane.open_session(0, 42).unwrap();
-    let cfg = client_cfg(vec![issuer.ca_root()], Some(Arc::new(issuer.policy_for(plane.measurements()))));
-    let mut client = Ssl::new(cfg, [3u8; 64]);
-    client.do_handshake().unwrap();
-    for _ in 0..10 {
-        let out = client.take_output();
-        if !out.is_empty() {
-            plane.provide_input(0, sid, &out).unwrap();
-        }
-        let _ = plane.do_handshake(0, sid);
-        let back = plane.take_output(0, sid).unwrap();
-        if !back.is_empty() {
-            client.provide_input(&back);
-            client.do_handshake().unwrap();
-        }
-        if client.is_established() {
-            break;
-        }
+    // A pinned client completes a handshake with each instance.
+    for ls in &instances {
+        let sid = ls.new_session(0).unwrap();
+        let cfg = client_cfg(
+            vec![issuer.ca_root()],
+            Some(Arc::new(issuer.policy_for(vec![measurement]))),
+        );
+        let mut client = Ssl::new(cfg, [3u8; 64]);
+        handshake_with(&mut client, ls, sid).unwrap();
+        assert!(client.is_established());
     }
-    assert!(client.is_established());
 }

@@ -55,6 +55,7 @@ fn update_row(t: i64, worker: usize, i: usize) -> Vec<Value> {
 /// gap-free 1..=N*M sequence afterwards.
 #[test]
 fn concurrent_appends_verify_with_a_gap_free_chain() {
+    let _s = failpoint::scenario(); // serialize with fault-injected tests
     const WORKERS: usize = 4;
     const APPENDS: usize = 25;
     let path = TempPath::new("libseal-gc-stress", "log");

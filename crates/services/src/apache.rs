@@ -5,7 +5,7 @@
 //! - **Event-driven (default)**: one epoll reactor multiplexes every
 //!   connection, ready audited sessions are drained through a single
 //!   batched enclave transition per sweep, and handlers run on an
-//!   lthread job pool (see [`crate::event`]).
+//!   lthread job pool (the crate-private `event` module).
 //! - **Threaded** (the paper's model): a fixed pool of worker threads
 //!   serves whole connections from an accept queue; each worker owns
 //!   one async-ecall slot when the TLS mode is a LibSEAL instance with
@@ -531,9 +531,6 @@ impl ApacheServer {
             );
         }
 
-        // Shared connection counter: each accepted connection gets a
-        // stable id the audit plane hashes for shard routing.
-        let conn_seq = Arc::new(AtomicU64::new(1));
         for worker in 0..config.workers.max(1) {
             let rx = rx.clone();
             let tls = config.tls.clone();
@@ -542,7 +539,6 @@ impl ApacheServer {
             let draining = Arc::clone(&draining);
             let served = Arc::clone(&requests_served);
             let live = Arc::clone(&live);
-            let conn_seq = Arc::clone(&conn_seq);
             let timeouts = config.timeouts;
             let limits = config.limits;
             handles.push(
@@ -557,12 +553,10 @@ impl ApacheServer {
                             }
                             match rx.recv_timeout(std::time::Duration::from_millis(50)) {
                                 Ok(sock) => {
-                                    let conn_id = conn_seq.fetch_add(1, Ordering::Relaxed);
                                     let _ = serve_connection(
                                         sock,
                                         &tls,
                                         worker,
-                                        conn_id,
                                         router.as_ref(),
                                         &served,
                                         &halt,
@@ -655,7 +649,6 @@ fn serve_connection(
     mut sock: TcpStream,
     tls: &TlsMode,
     worker: usize,
-    conn_id: u64,
     router: &dyn Router,
     served: &AtomicU64,
     halt: &dyn Fn() -> bool,
@@ -668,7 +661,7 @@ fn serve_connection(
     // A slow-reading client must not wedge the worker on a blocked
     // write either.
     sock.set_write_timeout(Some(timeouts.write))?;
-    let mut session = tls.open_session(worker, conn_id)?;
+    let mut session = tls.open_session(worker)?;
     // Always release the (enclave) session state, whatever path exits
     // the connection loop.
     let result = serve_established(&mut session, &mut sock, router, served, halt, timeouts, limits);

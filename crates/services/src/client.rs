@@ -171,12 +171,6 @@ pub struct LoadStats {
     pub p95_latency: Duration,
     /// 99th percentile latency.
     pub p99_latency: Duration,
-    /// Connection ids established during the run, one per TLS
-    /// connection: `client_index << 32 | per-client connection
-    /// sequence`. Shard-routing tests hash these the way a server
-    /// derives session affinity to assert the consistent-hash
-    /// distribution.
-    pub conn_ids: Vec<u64>,
 }
 
 impl LoadStats {
@@ -264,8 +258,6 @@ impl LoadGenerator {
         let run_hist = Histogram::new();
         let run_errors = Counter::new();
         let run_sheds = Counter::new();
-        let conn_ids = std::sync::Mutex::new(Vec::new());
-        let conn_ids = &conn_ids;
         let make_request = &make_request;
         let start = Instant::now();
 
@@ -278,22 +270,8 @@ impl LoadGenerator {
                 let run_sheds = run_sheds.clone();
                 handles.push(scope.spawn(move || {
                     let mut i = 0u64;
-                    // Per-client connection sequence; a new id is
-                    // recorded for every connection actually
-                    // established (initial, reconnect, or one per
-                    // request when non-persistent).
-                    let mut conn_seq = 0u64;
-                    let note_conn = |seq: &mut u64| {
-                        let id = ((c as u64) << 32) | *seq;
-                        *seq += 1;
-                        conn_ids.lock().expect("conn id lock").push(id);
-                    };
                     let mut conn = if self.persistent {
-                        let conn = client.connect().ok();
-                        if conn.is_some() {
-                            note_conn(&mut conn_seq);
-                        }
-                        conn
+                        client.connect().ok()
                     } else {
                         None
                     };
@@ -311,7 +289,6 @@ impl LoadGenerator {
                                 }
                                 None => match client.connect() {
                                     Ok(mut pc) => {
-                                        note_conn(&mut conn_seq);
                                         let r = pc.request(&req);
                                         if r.is_ok() {
                                             conn = Some(pc);
@@ -322,11 +299,7 @@ impl LoadGenerator {
                                 },
                             }
                         } else {
-                            let r = client.request(&req);
-                            if r.is_ok() {
-                                note_conn(&mut conn_seq);
-                            }
-                            r
+                            client.request(&req)
                         };
                         match classify(&result, t0.elapsed()) {
                             Attempt::Ok(lat) => {
@@ -378,7 +351,6 @@ impl LoadGenerator {
 
         let elapsed = start.elapsed();
         let snap = run_hist.snapshot();
-        let conn_ids = conn_ids.lock().expect("conn id lock").split_off(0);
         LoadStats {
             requests: snap.count(),
             errors: run_errors.get(),
@@ -388,7 +360,6 @@ impl LoadGenerator {
             p50_latency: snap.percentile_duration(0.5),
             p95_latency: snap.percentile_duration(0.95),
             p99_latency: snap.percentile_duration(0.99),
-            conn_ids,
         }
     }
 }

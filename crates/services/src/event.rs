@@ -38,8 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use libseal::plane::AuditPlane;
-use libseal::SessionInput;
+use libseal::{LibSeal, SessionInput};
 use libseal_httpx::http::{head_complete, parse_request_limited, Limits, Request, Response};
 use libseal_httpx::ParseError;
 use libseal_lthread::{JobPool, PoolConfig};
@@ -222,17 +221,17 @@ impl Drop for SlotGuard {
     }
 }
 
-/// The audit plane plus the slot discipline for calling it.
+/// The LibSEAL enclave plus the slot discipline for calling it.
 #[derive(Clone)]
 struct Seal {
-    ls: Arc<dyn AuditPlane>,
+    ls: Arc<LibSeal>,
     slots: Arc<SlotPool>,
 }
 
 impl Seal {
-    fn new_session(&self, affinity: u64) -> libseal::Result<u64> {
+    fn new_session(&self) -> libseal::Result<u64> {
         let g = self.slots.acquire();
-        self.ls.open_session(g.idx, affinity)
+        self.ls.new_session(g.idx)
     }
 
     fn close_session(&self, sid: u64) {
@@ -629,12 +628,8 @@ impl<A: App> Loop<A> {
     }
 
     fn admit(&mut self, sock: TcpStream) {
-        // The token doubles as the connection's shard affinity, so it
-        // is assigned before the session opens.
-        let token = self.next_token;
-        self.next_token += 1;
         let tls = match (&self.seal, &self.native_cfg) {
-            (Some(seal), _) => match seal.new_session(token) {
+            (Some(seal), _) => match seal.new_session() {
                 Ok(sid) => ConnTls::Seal(sid),
                 Err(_) => return,
             },
@@ -645,6 +640,8 @@ impl<A: App> Loop<A> {
             }
             (None, None) => unreachable!("one TLS mode is always configured"),
         };
+        let token = self.next_token;
+        self.next_token += 1;
         if self
             .reactor
             .register(&sock, token, Interest::READABLE)

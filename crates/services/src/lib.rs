@@ -42,94 +42,6 @@ pub use client::{HttpsClient, LoadGenerator, LoadStats};
 pub use squid::SquidProxy;
 pub use tlsadapter::TlsMode;
 
-/// The shared lifecycle surface of the simulated servers, so bench
-/// binaries, tests and the chaos/hostile harnesses drive
-/// [`ApacheServer`] and [`SquidProxy`] through one set of driver
-/// helpers instead of near-identical per-service code.
-pub trait Service: Sized + Send {
-    /// Configuration consumed by [`Service::start`].
-    type Config;
-
-    /// Binds an ephemeral local port and starts serving.
-    ///
-    /// # Errors
-    ///
-    /// Bind or enclave provisioning failures.
-    fn start(config: Self::Config) -> Result<Self>;
-
-    /// The bound address.
-    fn local_addr(&self) -> std::net::SocketAddr;
-
-    /// Requests completed so far (served or proxied).
-    fn served(&self) -> u64;
-
-    /// The telemetry registry the service reports into.
-    fn telemetry(&self) -> &'static libseal_telemetry::Registry;
-
-    /// Graceful drain: stop accepting, let in-flight requests finish
-    /// within the configured deadline, quiesce the audit plane, stop.
-    fn drain(self);
-
-    /// Immediate stop.
-    fn shutdown(self);
-}
-
-impl Service for ApacheServer {
-    type Config = apache::ApacheConfig;
-
-    fn start(config: apache::ApacheConfig) -> Result<ApacheServer> {
-        ApacheServer::start(config)
-    }
-
-    fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr()
-    }
-
-    fn served(&self) -> u64 {
-        self.requests_served()
-    }
-
-    fn telemetry(&self) -> &'static libseal_telemetry::Registry {
-        ApacheServer::telemetry(self)
-    }
-
-    fn drain(self) {
-        ApacheServer::drain(self);
-    }
-
-    fn shutdown(self) {
-        self.stop();
-    }
-}
-
-impl Service for SquidProxy {
-    type Config = squid::SquidConfig;
-
-    fn start(config: squid::SquidConfig) -> Result<SquidProxy> {
-        SquidProxy::start(config)
-    }
-
-    fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr()
-    }
-
-    fn served(&self) -> u64 {
-        self.requests_proxied()
-    }
-
-    fn telemetry(&self) -> &'static libseal_telemetry::Registry {
-        SquidProxy::telemetry(self)
-    }
-
-    fn drain(self) {
-        SquidProxy::drain(self);
-    }
-
-    fn shutdown(self) {
-        self.stop();
-    }
-}
-
 /// Errors from the service layer.
 #[derive(Debug)]
 pub enum ServiceError {

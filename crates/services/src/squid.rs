@@ -373,9 +373,6 @@ impl SquidProxy {
             );
         }
 
-        // Shared connection counter: each accepted connection gets a
-        // stable id the audit plane hashes for shard routing.
-        let conn_seq = Arc::new(AtomicU64::new(1));
         for worker in 0..config.workers.max(1) {
             let rx = rx.clone();
             let tls = config.tls.clone();
@@ -383,7 +380,6 @@ impl SquidProxy {
             let draining = Arc::clone(&draining);
             let proxied = Arc::clone(&requests_proxied);
             let live = Arc::clone(&live);
-            let conn_seq = Arc::clone(&conn_seq);
             let origin = config.origin_client();
             let timeouts = config.timeouts;
             let limits = config.limits;
@@ -399,10 +395,9 @@ impl SquidProxy {
                             }
                             match rx.recv_timeout(std::time::Duration::from_millis(50)) {
                                 Ok(sock) => {
-                                    let conn_id = conn_seq.fetch_add(1, Ordering::Relaxed);
                                     let _ = proxy_connection(
-                                        sock, &tls, worker, conn_id, &origin, &proxied, &halt,
-                                        &timeouts, &limits,
+                                        sock, &tls, worker, &origin, &proxied, &halt, &timeouts,
+                                        &limits,
                                     );
                                     live.fetch_sub(1, Ordering::AcqRel);
                                 }
@@ -486,7 +481,6 @@ fn proxy_connection(
     mut sock: TcpStream,
     tls: &TlsMode,
     worker: usize,
-    conn_id: u64,
     origin: &HttpsClient,
     proxied: &AtomicU64,
     halt: &dyn Fn() -> bool,
@@ -499,7 +493,7 @@ fn proxy_connection(
     // A slow-reading client must not wedge the worker on a blocked
     // write either.
     sock.set_write_timeout(Some(timeouts.write))?;
-    let mut session = tls.open_session(worker, conn_id)?;
+    let mut session = tls.open_session(worker)?;
     let result = proxy_established(
         &mut session,
         &mut sock,

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use libseal::plane::AuditPlane;
+use libseal::LibSeal;
 use libseal_crypto::ed25519::SigningKey;
 use libseal_crypto::SystemRng;
 use libseal_tlsx::cert::Certificate;
@@ -27,29 +27,26 @@ pub enum TlsMode {
         /// Its private key.
         key: SigningKey,
     },
-    /// Through a LibSEAL audit plane — a single enclave or a sharded
-    /// fleet, per its configuration; the server never learns which.
-    LibSeal(Arc<dyn AuditPlane>),
+    /// Through a LibSEAL instance (auditing per its configuration).
+    LibSeal(Arc<LibSeal>),
 }
 
 /// One server-side TLS session under either mode.
 pub enum TlsSession {
     /// Plain STLS session.
     Native(Box<Ssl>),
-    /// LibSEAL-managed session: (plane, worker slot, session id).
-    LibSeal(Arc<dyn AuditPlane>, usize, u64),
+    /// LibSEAL-managed session: (instance, worker slot, session id).
+    LibSeal(Arc<LibSeal>, usize, u64),
 }
 
 impl TlsMode {
     /// Opens a session; `worker` is the application-thread slot used
-    /// for asynchronous enclave calls and `affinity` a stable
-    /// connection id a sharded audit plane hashes to pick the
-    /// session's shard (ignored otherwise).
+    /// for asynchronous enclave calls.
     ///
     /// # Errors
     ///
     /// Enclave entry failures (LibSEAL mode only).
-    pub fn open_session(&self, worker: usize, affinity: u64) -> Result<TlsSession> {
+    pub fn open_session(&self, worker: usize) -> Result<TlsSession> {
         match self {
             TlsMode::Native { cert, key } => {
                 let cfg = Arc::new(SslConfig {
@@ -66,7 +63,7 @@ impl TlsMode {
                 Ok(TlsSession::Native(Box::new(Ssl::new(cfg, entropy))))
             }
             TlsMode::LibSeal(ls) => {
-                let sid = ls.open_session(worker, affinity)?;
+                let sid = ls.new_session(worker)?;
                 Ok(TlsSession::LibSeal(Arc::clone(ls), worker, sid))
             }
         }

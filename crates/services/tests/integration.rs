@@ -186,6 +186,59 @@ fn git_attacks_detected_end_to_end() {
     server.stop();
 }
 
+/// One repository's history split across two keep-alive connections
+/// still lands in one audit log, so a rollback is caught no matter
+/// which connection pushed the commit it hides.
+#[test]
+fn git_rollback_split_across_connections_detected() {
+    let ca = ca();
+    let (ls, roots) = libseal_for(&ca, Some(Arc::new(GitModule)));
+    let backend = Arc::new(GitBackend::new());
+    let server = ApacheServer::start(ApacheConfig::new(
+        TlsMode::LibSeal(ls.clone()),
+        Arc::new(Arc::clone(&backend)),
+    ))
+    .unwrap();
+    let client = HttpsClient::new(server.addr(), roots, "localhost");
+    let push =
+        |body: &str| Request::new("POST", "/repo/p/git-receive-pack", body.as_bytes().to_vec());
+    let fetch = Request::new(
+        "GET",
+        "/repo/p/info/refs?service=git-upload-pack",
+        Vec::new(),
+    );
+
+    let mut a = client.connect().unwrap();
+    let mut b = client.connect().unwrap();
+    assert_eq!(
+        a.request(&push("0 c1 refs/heads/main\n")).unwrap().status,
+        200
+    );
+    assert_eq!(
+        b.request(&push("c1 c2 refs/heads/main\n")).unwrap().status,
+        200
+    );
+    backend.set_attack(GitAttack::Rollback {
+        repo: "p".into(),
+        branch: "refs/heads/main".into(),
+        old_cid: "c1".into(),
+    });
+    assert_eq!(a.request(&fetch).unwrap().status, 200);
+    a.close();
+    b.close();
+
+    let outcome = ls.check_now(0).unwrap();
+    let soundness: usize = outcome
+        .reports
+        .iter()
+        .filter(|r| r.invariant == "git-soundness")
+        .map(|r| r.violations)
+        .sum();
+    assert!(soundness >= 1, "{:?}", outcome.reports);
+    ls.verify_log(0).unwrap();
+    server.stop();
+}
+
 #[test]
 fn git_history_replay_stays_clean() {
     let ca = ca();

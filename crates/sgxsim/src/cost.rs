@@ -95,9 +95,15 @@ impl CostModel {
         spin_for_nanos(nanos as u64);
     }
 
-    /// Charges one synchronous enclave transition.
-    pub fn charge_transition(&self, threads_inside: u64) {
-        self.charge_cycles(self.transition_cycles(threads_inside.max(1)));
+    /// Charges one synchronous enclave transition and returns the
+    /// cycles charged: none when the model is disabled.
+    pub fn charge_transition(&self, threads_inside: u64) -> u64 {
+        if !self.enabled {
+            return 0;
+        }
+        let cycles = self.transition_cycles(threads_inside.max(1));
+        self.charge_cycles(cycles);
+        cycles
     }
 
     /// Charges one asynchronous slot handoff.

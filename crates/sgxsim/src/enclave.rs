@@ -74,9 +74,7 @@ impl EnclaveServices {
     /// ocall): charges a full transition at the current contention
     /// level.
     pub fn ocall<R>(&self, name: CallId, f: impl FnOnce() -> R) -> R {
-        let threads = self.threads_inside().max(1);
-        let cycles = self.model.transition_cycles(threads);
-        self.model.charge_cycles(cycles);
+        let cycles = self.model.charge_transition(self.threads_inside());
         self.stats.record_ocall(name, cycles);
         f()
     }
@@ -315,8 +313,7 @@ impl<T> Enclave<T> {
     /// [`SgxError::OutOfTcs`] when no TCS slot frees up.
     pub fn ecall<R>(&self, name: CallId, f: impl FnOnce(&T, &EnclaveServices) -> R) -> Result<R> {
         let threads = self.services.enter()?;
-        let cycles = self.services.model.transition_cycles(threads);
-        self.services.model.charge_cycles(cycles);
+        let cycles = self.services.model.charge_transition(threads);
         self.services.stats.record_ecall(name, cycles);
         let r = f(&self.state, &self.services);
         self.services.exit();
@@ -341,8 +338,7 @@ impl<T> Enclave<T> {
         f: impl FnOnce(&T, &EnclaveServices) -> R,
     ) -> Result<R> {
         let threads = self.services.enter()?;
-        let cycles = self.services.model.transition_cycles(threads);
-        self.services.model.charge_cycles(cycles);
+        let cycles = self.services.model.charge_transition(threads);
         self.services.stats.record_batch_ecall(name, cycles, items);
         let r = f(&self.state, &self.services);
         self.services.exit();

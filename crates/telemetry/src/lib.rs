@@ -8,7 +8,7 @@
 //! and [`Span`]s that are *enclave-boundary aware* — each span records
 //! which side of the simulated enclave it runs on and accumulates the
 //! transition/handoff cycle costs charged while it is open (see
-//! [`span`]). A process-wide [`global`] registry aggregates every
+//! [`span`](mod@span)). A process-wide [`global`] registry aggregates every
 //! wired crate and renders a `/metrics`-style text snapshot.
 //!
 //! Only `libseal-plat` is used, keeping the hermetic build intact.

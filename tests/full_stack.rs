@@ -11,6 +11,7 @@ use libseal_services::apache::{ApacheConfig, ApacheServer};
 use libseal_services::git::{GitBackend, HistoryGenerator};
 use libseal_services::{HttpsClient, LoadGenerator, TlsMode};
 use libseal_sgxsim::cost::CostModel;
+use libseal_sgxsim::stats::StatsSnapshot;
 use libseal_tlsx::cert::CertificateAuthority;
 
 fn ca() -> CertificateAuthority {
@@ -105,42 +106,61 @@ fn load_generator_measures_throughput() {
 
 #[test]
 fn cost_model_imposes_real_overhead() {
-    // The same tiny workload with and without the SGX cost model; the
-    // modelled configuration must be measurably slower.
+    // The same tiny workload with and without the SGX cost model. The
+    // modelled configuration must charge cycles for every transition,
+    // the free one none, and the model must not change how often the
+    // boundary is crossed. Counters, not wall clock: the tax on a run
+    // this short is within timing noise. The counted window starts
+    // after a first request has completed the handshake, because how
+    // the handshake's flights coalesce on the socket varies the number
+    // of enclave pumps from run to run.
     let ca = ca();
-    let run = |model: CostModel| -> Duration {
+    let run = |model: CostModel| -> StatsSnapshot {
         let (key, cert) = ca.issue_identity("localhost", &[9u8; 32]).unwrap();
         let cfg = LibSealConfig::builder(cert, key).cost_model(model).build();
         let ls = LibSeal::new(cfg).unwrap();
         let server = ApacheServer::start(
             ApacheConfig::new(
-                TlsMode::LibSeal(ls),
+                TlsMode::LibSeal(ls.clone()),
                 Arc::new(libseal_services::StaticContentRouter),
             )
             .workers(1),
         )
         .unwrap();
         let client = HttpsClient::new(server.addr(), vec![ca.root_key()], "localhost");
-        let t0 = std::time::Instant::now();
+        let get = Request::new("GET", "/content/16", Vec::new());
         let mut conn = client.connect().unwrap();
+        conn.request(&get).unwrap();
+        ls.reset_stats();
         for _ in 0..20 {
-            conn.request(&Request::new("GET", "/content/16", Vec::new()))
-                .unwrap();
+            conn.request(&get).unwrap();
         }
+        let stats = ls.stats();
         conn.close();
-        let dt = t0.elapsed();
         server.stop();
-        dt
+        stats
     };
     let free = run(CostModel::free());
-    let taxed = run(CostModel {
+    let tax = CostModel {
         enabled: true,
-        sync_transition_cycles: 200_000, // exaggerated for test stability
+        sync_transition_cycles: 200_000,
         ..CostModel::default()
-    });
+    };
+    let taxed = run(tax.clone());
+    assert_eq!(free.cycles_charged, 0, "free model charged cycles");
     assert!(
-        taxed > free,
-        "cost model had no effect: taxed {taxed:?} vs free {free:?}"
+        taxed.cycles_charged >= taxed.total_transitions() * tax.sync_transition_cycles,
+        "taxed run charged {} cycles for {} transitions",
+        taxed.cycles_charged,
+        taxed.total_transitions()
+    );
+    assert!(taxed.total_transitions() > 0);
+    assert_eq!(
+        taxed.total_transitions(),
+        free.total_transitions(),
+        "the cost model changed the transition count: {:?} vs {:?}",
+        taxed.by_name,
+        free.by_name
     );
 }
 
